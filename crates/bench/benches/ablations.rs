@@ -1,6 +1,6 @@
-//! Criterion ablations over the design choices DESIGN.md calls out:
-//! combination strategy (the paper's single-probe fast path versus the
-//! exact priority probe) and MBT leaf provisioning.
+//! Criterion ablations over two design choices: the combination strategy
+//! (the paper's single-probe fast path versus the exact priority probe of
+//! docs/engine_design.md §"Exact phase 3") and MBT leaf provisioning.
 
 // Reproduction harness: a panic here means the bench environment itself
 // is broken (bad spec string, generator misconfiguration), and aborting

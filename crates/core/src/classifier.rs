@@ -19,7 +19,7 @@ use spc_lookup::{
     ProtocolLut, RangeBst,
 };
 use spc_types::{Dim, Header, Priority, Rule, RuleId, ALL_DIMS, IP_SEG_DIMS};
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::HashMap;
 
 /// One dimension's hardware unit: the active engine, its label memory and
 /// the controller-side label table.
@@ -86,8 +86,8 @@ struct Installed {
 /// Reusable working memory for [`Classifier::classify_with`].
 ///
 /// One lookup needs the seven phase-2 label lists plus (in
-/// [`CombineStrategy::PriorityProbe`] mode) the best-first frontier. A
-/// batch caller allocates this once and the per-packet cost drops to
+/// [`CombineStrategy::PriorityProbe`] mode) their priority-sorted copies.
+/// A batch caller allocates this once and the per-packet cost drops to
 /// buffer clears — the amortisation behind `spc-engine`'s batch path.
 #[derive(Debug, Default)]
 pub struct ClassifyScratch {
@@ -97,10 +97,6 @@ pub struct ClassifyScratch {
     lists: Vec<LabelList>,
     /// Priority-sorted copies of the lists (probe order).
     dims: [Vec<LabelEntry>; 7],
-    /// Best-first frontier, keyed by priority lower bound.
-    heap: BinaryHeap<std::cmp::Reverse<(u32, [u16; 7])>>,
-    /// Frontier dedup.
-    visited: HashSet<[u16; 7]>,
 }
 
 impl ClassifyScratch {
@@ -459,8 +455,8 @@ impl Classifier {
     }
 
     /// Classifies a header, reusing `scratch` for every intermediate
-    /// buffer (label lists, probe frontier). This is the amortised hot
-    /// path behind `spc-engine`'s `classify_batch`: across a batch, the
+    /// buffer (label lists and their sorted copies). This is the amortised
+    /// hot path behind `spc-engine`'s `classify_batch`: across a batch, the
     /// per-lookup allocations collapse to buffer clears.
     ///
     /// # Panics
@@ -530,76 +526,82 @@ impl Classifier {
         }
     }
 
-    /// Best-first search over label combinations (DESIGN.md §2).
+    /// Exact phase 3: a bound-level enumeration of label combinations
+    /// (docs/engine_design.md §"Exact phase 3").
     ///
     /// Each label's `priority` is the best priority among its user rules,
-    /// so `max` over a combination lower-bounds the priority of any rule
-    /// stored under that key — combinations are explored in bound order
-    /// and the search stops once the best hit beats every remaining bound.
+    /// so the max over a combination (its *bound*) lower-bounds the
+    /// priority of any rule stored under that key. The distinct label
+    /// priorities are the bound levels; they are walked in ascending
+    /// order, probing every combination whose bound equals the level,
+    /// until the best hit beats the next level.
     ///
     /// Reads the phase-2 label lists from `scratch.lists` and reuses the
-    /// frontier buffers in `scratch`.
-    // The bound closure maxes over the fixed `0..7` dimension range,
-    // which is never empty.
-    #[allow(clippy::expect_used)]
+    /// sorted-list buffers in `scratch`.
     fn priority_probe(&self, scratch: &mut ClassifyScratch) -> (Option<StoredRule>, u32, u32) {
         // Sort each dimension by rule priority (port/protocol lists are
-        // hardware-ordered differently; the bound argument needs priority
+        // hardware-ordered differently; the level walk needs priority
         // order).
-        let ClassifyScratch {
-            lists,
-            dims,
-            heap,
-            visited,
-        } = scratch;
+        let ClassifyScratch { lists, dims } = scratch;
         for (v, l) in dims.iter_mut().zip(lists.iter()) {
             v.clear();
             v.extend_from_slice(l.entries());
             v.sort_by_key(|e| (e.priority, e.label.0));
         }
         let dims = &*dims;
-        let bound = |idx: &[u16; 7]| -> u32 {
-            (0..7)
-                .map(|d| dims[d][idx[d] as usize].priority.0)
-                .max()
-                .expect("seven dims")
-        };
-        heap.clear();
-        visited.clear();
-        let start = [0u16; 7];
-        heap.push(std::cmp::Reverse((bound(&start), start)));
-        visited.insert(start);
         let mut best: Option<StoredRule> = None;
         let mut rf_reads = 0u32;
         let mut combos = 0u32;
-        while let Some(std::cmp::Reverse((b, idx))) = heap.pop() {
-            if let Some(s) = best {
-                if s.rule.priority.0 < b {
-                    break; // every remaining combo is provably worse
-                }
+        // `prev[d]`/`cur[d]`: entries of dimension `d` with priority below
+        // / at most the current level, so box(cur) \ box(prev) holds
+        // exactly the combinations whose bound is the level. The next
+        // level is the best priority not yet inside box(prev).
+        let mut prev = [0usize; 7];
+        while let Some(level) = (0..7)
+            .filter_map(|d| dims[d].get(prev[d]))
+            .map(|e| e.priority.0)
+            .min()
+        {
+            if best.is_some_and(|s| s.rule.priority.0 < level) {
+                break; // every remaining combination is provably worse
             }
-            combos += 1;
-            let labels: [Label; 7] = std::array::from_fn(|d| dims[d][idx[d] as usize].label);
-            let probe = self.rule_filter.probe(self.make_key(&labels));
-            rf_reads += probe.reads;
-            if let Some(s) = probe.hit {
-                let better = match best {
-                    None => true,
-                    Some(cur) => (s.rule.priority, s.id.0) < (cur.rule.priority, cur.id.0),
-                };
-                if better {
-                    best = Some(s);
+            let cur: [usize; 7] = std::array::from_fn(|d| {
+                prev[d]
+                    + dims[d][prev[d]..]
+                        .iter()
+                        .take_while(|e| e.priority.0 <= level)
+                        .count()
+            });
+            // Split the difference by the first dimension `k` that leaves
+            // box(prev): dimensions before it stay below `prev`, `k`
+            // takes its new entries, later dimensions range over `cur`.
+            for k in 0..7 {
+                let lo: [usize; 7] = std::array::from_fn(|d| if d == k { prev[d] } else { 0 });
+                let hi: [usize; 7] = std::array::from_fn(|d| if d < k { prev[d] } else { cur[d] });
+                if (0..7).any(|d| lo[d] >= hi[d]) {
+                    continue;
                 }
-            }
-            for d in 0..7 {
-                if usize::from(idx[d]) + 1 < dims[d].len() {
-                    let mut nxt = idx;
-                    nxt[d] += 1;
-                    if visited.insert(nxt) {
-                        heap.push(std::cmp::Reverse((bound(&nxt), nxt)));
+                let mut idx = lo;
+                loop {
+                    combos += 1;
+                    let labels: [Label; 7] = std::array::from_fn(|d| dims[d][idx[d]].label);
+                    let probe = self.rule_filter.probe(self.make_key(&labels));
+                    rf_reads += probe.reads;
+                    if let Some(s) = probe.hit {
+                        let better = match best {
+                            None => true,
+                            Some(b) => (s.rule.priority, s.id.0) < (b.rule.priority, b.id.0),
+                        };
+                        if better {
+                            best = Some(s);
+                        }
+                    }
+                    if !odometer_step(&mut idx, &lo, &hi) {
+                        break;
                     }
                 }
             }
+            prev = cur;
         }
         (best, rf_reads, combos)
     }
@@ -710,6 +712,19 @@ impl Classifier {
     }
 }
 
+/// Advances `idx` to the next index of the box `lo..hi` (per dimension),
+/// the last dimension fastest. Returns `false` once the box is exhausted.
+fn odometer_step(idx: &mut [usize; 7], lo: &[usize; 7], hi: &[usize; 7]) -> bool {
+    for d in (0..7).rev() {
+        idx[d] += 1;
+        if idx[d] < hi[d] {
+            return true;
+        }
+        idx[d] = lo[d];
+    }
+    false
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -759,6 +774,82 @@ mod tests {
             "search must explore past the u8 frontier, probed {}",
             c.combos_probed
         );
+    }
+
+    /// Brute force over the full product of one header's per-dimension
+    /// label lists (left in `scratch.lists` by the last classify). Returns
+    /// the minimum `(priority, id)` Rule Filter hit, the number of tuples
+    /// an exact search must probe (bound ≤ the hit's priority, or the
+    /// whole product on a miss) and the product size.
+    fn brute_force_phase3(
+        cls: &Classifier,
+        scratch: &ClassifyScratch,
+    ) -> (Option<StoredRule>, u64, u64) {
+        let lists: Vec<Vec<LabelEntry>> =
+            scratch.lists.iter().map(|l| l.entries().to_vec()).collect();
+        let product: u64 = lists.iter().map(|l| l.len() as u64).product();
+        let mut tuples = Vec::new();
+        let mut idx = [0usize; 7];
+        for _ in 0..product {
+            let bound = (0..7).map(|d| lists[d][idx[d]].priority.0).max().unwrap();
+            let labels: [Label; 7] = std::array::from_fn(|d| lists[d][idx[d]].label);
+            let hit = cls.rule_filter.probe(cls.make_key(&labels)).hit;
+            tuples.push((bound, hit));
+            for d in (0..7).rev() {
+                idx[d] += 1;
+                if idx[d] < lists[d].len() {
+                    break;
+                }
+                idx[d] = 0;
+            }
+        }
+        let best = tuples
+            .iter()
+            .filter_map(|&(_, hit)| hit)
+            .min_by_key(|s| (s.rule.priority, s.id.0));
+        let must_probe = match best {
+            Some(s) => tuples
+                .iter()
+                .filter(|&&(bound, _)| bound <= s.rule.priority.0)
+                .count() as u64,
+            None => product,
+        };
+        (best, must_probe, product)
+    }
+
+    #[test]
+    fn priority_probe_visits_exactly_the_bounded_tuples() {
+        // The exact search's contract, checked against brute force on
+        // seeded ClassBench sets: the verdict is the best Rule Filter hit
+        // over the whole label product, and the search probes every tuple
+        // whose priority bound could still beat it — and no other.
+        use spc_classbench::{FilterKind, RuleSetGenerator, TraceGenerator};
+        for (kind, seed) in [
+            (FilterKind::Acl, 21u64),
+            (FilterKind::Fw, 22),
+            (FilterKind::Ipc, 23),
+        ] {
+            let rules = RuleSetGenerator::new(kind, 150).seed(seed).generate();
+            let mut cls = Classifier::new(ArchConfig::large());
+            cls.load(&rules).unwrap();
+            let headers = TraceGenerator::new().seed(seed).generate(&rules, 300);
+            let mut scratch = ClassifyScratch::new();
+            let (mut hits, mut searched) = (0, 0);
+            for h in &headers {
+                let c = cls.classify_with(h, &mut scratch);
+                let (best, must_probe, product) = brute_force_phase3(&cls, &scratch);
+                if product == 0 {
+                    assert_eq!((c.hit, c.combos_probed), (None, 0), "{kind} {h}");
+                    continue;
+                }
+                assert_eq!(c.hit.map(|x| x.rule_id), best.map(|s| s.id), "{kind} {h}");
+                assert_eq!(u64::from(c.combos_probed), must_probe, "{kind} {h}");
+                hits += usize::from(best.is_some());
+                searched += usize::from(must_probe > 1);
+            }
+            assert!(hits > headers.len() / 2, "{kind}: only {hits} hits");
+            assert!(searched > 0, "{kind}: no header needed a search");
+        }
     }
 
     #[test]

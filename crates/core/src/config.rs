@@ -33,16 +33,16 @@ impl std::fmt::Display for IpAlg {
 }
 
 /// How phase 3 combines per-dimension label lists into a Rule Filter probe
-/// (see DESIGN.md §2 "Correctness note").
+/// (see docs/engine_design.md §"Exact phase 3").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CombineStrategy {
     /// The paper's fast path: hash only the head (HPML) of each list.
     /// Two final cycles, but may miss the true HPMR when the per-dimension
     /// heads belong to different rules.
     FirstLabel,
-    /// Best-first search over label combinations ordered by a priority
-    /// lower bound; guaranteed to return the true HPMR. Extra probes are
-    /// charged to the cycle model.
+    /// Probes label combinations in ascending order of a priority lower
+    /// bound until no remaining one can beat the best hit; guaranteed to
+    /// return the true HPMR. Extra probes are charged to the cycle model.
     #[default]
     PriorityProbe,
 }

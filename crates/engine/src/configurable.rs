@@ -250,4 +250,40 @@ mod tests {
             out.iter().map(|v| u64::from(v.mem_reads)).sum::<u64>()
         );
     }
+
+    #[test]
+    fn exact_search_accounting_is_pinned() {
+        // Phase 3's probe count and memory reads are hardware-model
+        // outputs: a faster search must reproduce them exactly. Pinned
+        // per family as (sum, max) of `combos_probed` and of total reads
+        // over a fixed seeded 512-rule set and trace.
+        use spc_classbench::{FilterKind, RuleSetGenerator, TraceGenerator};
+        use FilterKind::{Acl, Fw, Ipc};
+        let expected = [
+            ("mbt", Acl, [(28418, 480), (34892, 514)]),
+            ("mbt", Fw, [(593556, 24000), (609777, 24419)]),
+            ("mbt", Ipc, [(96952, 2160), (104880, 2218)]),
+            ("bst", Acl, [(28418, 480), (40276, 534)]),
+            ("bst", Fw, [(593556, 24000), (614992, 24438)]),
+            ("bst", Ipc, [(96952, 2160), (110471, 2239)]),
+        ];
+        for (ip_alg, kind, want) in expected {
+            let spec = format!("configurable-{ip_alg}");
+            let rules = RuleSetGenerator::new(kind, 512).seed(5).generate();
+            let headers = TraceGenerator::new().seed(6).generate(&rules, 256);
+            let mut engine = crate::build_engine(&spec, &rules).unwrap();
+            let (mut combos, mut reads) = ((0u64, 0u64), (0u64, 0u64));
+            let mut out = Vec::new();
+            for h in &headers {
+                let stats = engine.classify_batch(std::slice::from_ref(h), &mut out);
+                let r = u64::from(out[0].mem_reads);
+                combos = (
+                    combos.0 + stats.combos_probed,
+                    combos.1.max(stats.combos_probed),
+                );
+                reads = (reads.0 + r, reads.1.max(r));
+            }
+            assert_eq!([combos, reads], want, "{spec} on {kind}");
+        }
+    }
 }
