@@ -71,7 +71,6 @@ impl RuleFilter {
         for _ in 0..words {
             slots.alloc(Slot::Empty).expect("provisioned");
         }
-        slots.reset_accesses();
         RuleFilter {
             slots,
             hash: HashUnit::new(addr_bits),
@@ -210,14 +209,9 @@ impl RuleFilter {
         self.live as u64 * u64::from(self.slots.width_bits())
     }
 
-    /// Access counters.
-    pub fn access_counts(&self) -> spc_hwsim::AccessCounts {
-        self.slots.accesses()
-    }
-
-    /// Resets access counters.
-    pub fn reset_access_counts(&self) {
-        self.slots.reset_accesses();
+    /// Rule-memory words written so far (inserts, moves and tombstones).
+    pub fn writes(&self) -> u64 {
+        self.slots.writes()
     }
 }
 
@@ -317,14 +311,10 @@ mod tests {
             f.insert(k, RuleId(k as u32), rule(0)).unwrap();
         }
         f.remove(2, RuleId(2)).unwrap();
-        f.reset_access_counts();
+        let writes = f.writes();
         let mut ids: Vec<u32> = f.iter().map(|s| s.id.0).collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![0, 1, 3, 4]);
-        assert_eq!(
-            f.access_counts(),
-            spc_hwsim::AccessCounts::default(),
-            "controller-side iteration is untracked"
-        );
+        assert_eq!(f.writes(), writes, "controller-side iteration is untracked");
     }
 }

@@ -243,11 +243,8 @@ pub enum OptimizePolicy {
 #[derive(Debug, Clone)]
 pub struct EngineBuilder {
     kind: EngineKind,
-    arch: Option<ArchConfig>,
     rule_filter_bits: Option<u32>,
     combine: Option<CombineStrategy>,
-    rfc_entry_cap: u64,
-    hypercuts: HyperCutsConfig,
     shard_count: usize,
     shard_strategy: ShardStrategy,
     shard_inner: EngineKind,
@@ -334,11 +331,8 @@ impl EngineBuilder {
     pub fn new(kind: EngineKind) -> Self {
         EngineBuilder {
             kind,
-            arch: None,
             rule_filter_bits: None,
             combine: None,
-            rfc_entry_cap: DEFAULT_RFC_ENTRY_CAP,
-            hypercuts: HyperCutsConfig::default(),
             shard_count: DEFAULT_SHARDS,
             shard_strategy: ShardStrategy::PriorityBands,
             shard_inner: EngineKind::ConfigurableBst,
@@ -636,34 +630,9 @@ impl EngineBuilder {
         self.kind
     }
 
-    /// Overrides the full architecture configuration (configurable
-    /// backends; the builder still forces `ip_alg` to match the kind).
-    pub fn with_arch_config(mut self, config: ArchConfig) -> Self {
-        self.arch = Some(config);
-        self
-    }
-
     /// Overrides the Rule Filter address width (configurable backends).
     pub fn with_rule_filter_bits(mut self, bits: u32) -> Self {
         self.rule_filter_bits = Some(bits);
-        self
-    }
-
-    /// Overrides the phase-3 combine strategy (configurable backends).
-    pub fn with_combine(mut self, combine: CombineStrategy) -> Self {
-        self.combine = Some(combine);
-        self
-    }
-
-    /// Overrides the RFC phase-table entry cap.
-    pub fn with_rfc_entry_cap(mut self, cap: u64) -> Self {
-        self.rfc_entry_cap = cap;
-        self
-    }
-
-    /// Overrides the HyperCuts tuning parameters.
-    pub fn with_hypercuts_config(mut self, config: HyperCutsConfig) -> Self {
-        self.hypercuts = config;
         self
     }
 
@@ -674,23 +643,9 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the rule-partitioning strategy (sharded backend).
-    pub fn with_shard_strategy(mut self, strategy: ShardStrategy) -> Self {
-        self.shard_strategy = strategy;
-        self
-    }
-
     /// Sets the inner backend each shard runs (sharded backend).
     pub fn with_shard_inner(mut self, inner: EngineKind) -> Self {
         self.shard_inner = inner;
-        self
-    }
-
-    /// Sets the band-rebalance skew factor (sharded backend, priority
-    /// bands): under incremental updates a band splits once it exceeds
-    /// `skew ×` its build-time quota. Values below 1.0 are clamped.
-    pub fn with_band_skew(mut self, skew: f64) -> Self {
-        self.band_skew = skew;
         self
     }
 
@@ -704,47 +659,6 @@ impl EngineBuilder {
     /// power of two at build time, 0 is rejected there).
     pub fn with_cache_flows(mut self, flows: usize) -> Self {
         self.cache_flows = flows;
-        self
-    }
-
-    /// Enables or disables the megaflow layer (cached backend).
-    pub fn with_cache_megaflow(mut self, megaflow: bool) -> Self {
-        self.cache_megaflow = megaflow;
-        self
-    }
-
-    /// Sets the full builder for the cached wrapper's inner engine
-    /// (cached backend; defaults to `configurable-bst`).
-    pub fn with_cache_inner(mut self, inner: EngineBuilder) -> Self {
-        self.cache_inner = Some(Box::new(inner));
-        self
-    }
-
-    /// Sets the full builder for the snapshot wrapper's inner engine
-    /// (snapshot backend; defaults to `configurable-bst`).
-    pub fn with_snapshot_inner(mut self, inner: EngineBuilder) -> Self {
-        self.snapshot_inner = Some(Box::new(inner));
-        self
-    }
-
-    /// Sets the per-tuple hash-slot hint (tuple-space backend; rounded
-    /// up to a power of two, minimum 4, by the structure).
-    pub fn with_tss_tables(mut self, tables: usize) -> Self {
-        self.tss_tables = tables;
-        self
-    }
-
-    /// Sets the provisioned slot capacity (software-TCAM backend;
-    /// 0 is clamped to 1 at build time).
-    pub fn with_tcam_capacity(mut self, capacity: usize) -> Self {
-        self.tcam_capacity = capacity;
-        self
-    }
-
-    /// Sets the allocator partition count (software-TCAM backend;
-    /// clamped to `1..=capacity` at build time).
-    pub fn with_tcam_partitions(mut self, partitions: usize) -> Self {
-        self.tcam_partitions = partitions;
         self
     }
 
@@ -786,11 +700,11 @@ impl EngineBuilder {
     }
 
     fn arch_for(&self, alg: IpAlg, rules: &RuleSet) -> ArchConfig {
-        let mut cfg = self.arch.clone().unwrap_or_else(ArchConfig::large);
+        let mut cfg = ArchConfig::large();
         cfg.ip_alg = alg;
         if let Some(bits) = self.rule_filter_bits {
             cfg.rule_filter_addr_bits = bits;
-        } else if self.arch.is_none() {
+        } else {
             // Auto-size the Rule Filter to keep hash-probe chains short:
             // at least 4x the rule count, within the large() default.
             let mut bits = cfg.rule_filter_addr_bits;
@@ -818,6 +732,20 @@ impl EngineBuilder {
         Ok(ConfigurableEngine::new(cls))
     }
 
+    /// The builder each shard of this `sharded` builder runs: its inner
+    /// kind with the forwarded provisioning. Each shard is built for its
+    /// own slice, so Rule Filter autosizing sees the shard's rule count,
+    /// not the global one — that per-shard right-sizing is half the win.
+    fn shard_builder(&self) -> EngineBuilder {
+        let mut per = EngineBuilder::new(self.shard_inner);
+        per.rule_filter_bits = self.rule_filter_bits;
+        per.combine = self.combine;
+        per.tss_tables = self.tss_tables;
+        per.tcam_capacity = self.tcam_capacity;
+        per.tcam_partitions = self.tcam_partitions;
+        per
+    }
+
     pub(crate) fn build_sharded(&self, rules: &RuleSet) -> Result<ShardedEngine, BuildError> {
         if self.shard_inner == EngineKind::Sharded {
             return Err(BuildError::ConfigError {
@@ -835,18 +763,7 @@ impl EngineBuilder {
         }
         let plan = shard::plan(rules, self.shard_count, self.shard_strategy);
         let router = shard::ShardRouter::from_plan(&plan, self.shard_count);
-        // Each shard gets its own inner engine, provisioned for its own
-        // slice (Rule Filter autosizing sees the shard's rule count, not
-        // the global one — that per-shard right-sizing is half the win).
-        let mut inner = EngineBuilder::new(self.shard_inner);
-        inner.arch.clone_from(&self.arch);
-        inner.rule_filter_bits = self.rule_filter_bits;
-        inner.combine = self.combine;
-        inner.rfc_entry_cap = self.rfc_entry_cap;
-        inner.hypercuts = self.hypercuts;
-        inner.tss_tables = self.tss_tables;
-        inner.tcam_capacity = self.tcam_capacity;
-        inner.tcam_partitions = self.tcam_partitions;
+        let inner = self.shard_builder();
         let mut parts = Vec::with_capacity(plan.shards.len());
         for slice in plan.shards {
             let engine = inner.build(&slice.rules)?;
@@ -878,14 +795,6 @@ impl EngineBuilder {
             Some(b) => (**b).clone(),
             None => EngineBuilder::new(EngineKind::ConfigurableBst),
         };
-        // The spec parser rejects `inner=cached`; this guards the
-        // builder-method path.
-        if inner_builder.kind == EngineKind::Cached {
-            return Err(BuildError::ConfigError {
-                option: "inner=cached".to_string(),
-                reason: "the inner engine cannot itself be cached".to_string(),
-            });
-        }
         if self.cache_flows == 0 {
             return Err(BuildError::ConfigError {
                 option: "flows=0".to_string(),
@@ -910,42 +819,17 @@ impl EngineBuilder {
     ///
     /// # Errors
     ///
-    /// As [`EngineBuilder::build`], plus [`BuildError::ConfigError`]
-    /// for snapshot-in-snapshot nesting.
+    /// As [`EngineBuilder::build`] (snapshot-in-snapshot nesting is
+    /// already rejected by [`EngineBuilder::from_spec`]).
     pub fn build_snapshot(&self, rules: &RuleSet) -> Result<crate::SnapshotEngine, BuildError> {
         let inner = match &self.snapshot_inner {
             Some(b) => (**b).clone(),
             None => EngineBuilder::new(EngineKind::ConfigurableBst),
         };
-        // The spec parser rejects `inner=snapshot`; this guards the
-        // builder-method path.
-        if inner.kind == EngineKind::Snapshot {
-            return Err(BuildError::ConfigError {
-                option: "inner=snapshot".to_string(),
-                reason: "the inner engine cannot itself be a snapshot wrapper".to_string(),
-            });
-        }
         if inner.kind == EngineKind::Sharded {
-            if inner.shard_inner == EngineKind::Sharded || inner.shard_inner == EngineKind::Snapshot
-            {
-                return Err(BuildError::ConfigError {
-                    option: format!("inner={}", inner.shard_inner),
-                    reason: "invalid shard inner for a snapshot wrapper".to_string(),
-                });
-            }
             let plan = shard::plan(rules, inner.shard_count, inner.shard_strategy);
             let router = shard::ShardRouter::from_plan(&plan, inner.shard_count);
-            // Per-shard inner provisioning, exactly as `build_sharded`
-            // derives it: Rule Filter autosizing sees shard-local counts.
-            let mut per = EngineBuilder::new(inner.shard_inner);
-            per.arch.clone_from(&inner.arch);
-            per.rule_filter_bits = inner.rule_filter_bits;
-            per.combine = inner.combine;
-            per.rfc_entry_cap = inner.rfc_entry_cap;
-            per.hypercuts = inner.hypercuts;
-            per.tss_tables = inner.tss_tables;
-            per.tcam_capacity = inner.tcam_capacity;
-            per.tcam_partitions = inner.tcam_partitions;
+            let per = inner.shard_builder();
             crate::SnapshotEngine::from_sharded(plan, router, per, inner.shard_strategy)
         } else {
             crate::SnapshotEngine::from_single(rules, inner)
@@ -1025,12 +909,12 @@ impl EngineBuilder {
             )),
             EngineKind::HyperCuts => Box::new(BaselineEngine::new(
                 self.kind,
-                HyperCuts::build(rules, self.hypercuts),
+                HyperCuts::build(rules, HyperCutsConfig::default()),
                 rules,
             )),
             EngineKind::Rfc => {
                 let rfc =
-                    Rfc::build(rules, self.rfc_entry_cap).map_err(|e| BuildError::Rejected {
+                    Rfc::build(rules, DEFAULT_RFC_ENTRY_CAP).map_err(|e| BuildError::Rejected {
                         kind: self.kind,
                         reason: e.to_string(),
                     })?;

@@ -60,7 +60,6 @@
 //! `docs/concurrency.md` for the trade-off).
 
 use crate::{EngineKind, LookupStats, PacketClassifier, UpdateError, UpdateReport, Verdict};
-use spc_hwsim::AccessCounts;
 use spc_types::{Header, MaskSummary, Rule, RuleId, ALL_DIMS};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -593,14 +592,6 @@ impl PacketClassifier for CachedEngine {
             (m.capacity() * std::mem::size_of::<Option<Entry<[u16; 7]>>>()) as u64 * 8
         });
         self.inner.memory_bits() + micro_bits + mega_bits
-    }
-
-    fn access_counts(&self) -> AccessCounts {
-        self.inner.access_counts()
-    }
-
-    fn reset_access_counts(&self) {
-        self.inner.reset_access_counts();
     }
 
     fn supports_updates(&self) -> bool {

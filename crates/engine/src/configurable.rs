@@ -4,7 +4,6 @@ use crate::{
     EngineKind, LookupStats, MatchHandle, PacketClassifier, UpdateError, UpdateReport, Verdict,
 };
 use spc_core::{Classification, Classifier, ClassifierError, ClassifyScratch, IpAlg};
-use spc_hwsim::AccessCounts;
 use spc_types::{Header, MaskSummary, Rule, RuleId};
 
 /// The configurable label-based classifier behind the unified API.
@@ -118,14 +117,6 @@ impl PacketClassifier for ConfigurableEngine {
 
     fn memory_bits(&self) -> u64 {
         self.cls.memory_report().total_used()
-    }
-
-    fn access_counts(&self) -> AccessCounts {
-        self.cls.access_counts()
-    }
-
-    fn reset_access_counts(&self) {
-        self.cls.reset_access_counts();
     }
 
     fn supports_updates(&self) -> bool {

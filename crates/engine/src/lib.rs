@@ -107,7 +107,6 @@ pub use spc_core::shard::ShardStrategy;
 // ([`PacketClassifier::last_update_report`]) without a spc-core dep.
 pub use spc_core::UpdateReport;
 
-use spc_hwsim::AccessCounts;
 use spc_types::{Action, Header, MaskSummary, Priority, Rule, RuleId};
 use std::fmt;
 
@@ -331,9 +330,10 @@ impl std::error::Error for UpdateError {}
 /// to know which algorithm is behind the box. See the crate docs for the
 /// design rationale and `docs/engine_design.md` for how to add a backend.
 ///
-/// Engines are `Send + Sync`: lookups take `&self` and all hardware-model
-/// access counters are atomic, so a built engine can serve concurrent
-/// readers — `Arc<dyn PacketClassifier>` behind
+/// Engines are `Send + Sync`: lookups take `&self` and write nothing
+/// (each lookup's memory reads travel back in its [`Verdict::mem_reads`]),
+/// so a built engine can serve concurrent readers —
+/// `Arc<dyn PacketClassifier>` behind
 /// [`pipeline::IngestPipeline`]'s shared mode relies on exactly this.
 /// Only the `&mut self` paths (batch scratch reuse, incremental updates)
 /// need exclusive access.
@@ -386,16 +386,6 @@ pub trait PacketClassifier: fmt::Debug + Send + Sync {
 
     /// Bits of memory the structure occupies in the hardware model.
     fn memory_bits(&self) -> u64;
-
-    /// Cumulative structural memory access counters, where the backend
-    /// models them (the configurable architecture); zeros otherwise —
-    /// per-lookup costs are always available via [`Verdict::mem_reads`].
-    fn access_counts(&self) -> AccessCounts {
-        AccessCounts::default()
-    }
-
-    /// Resets [`PacketClassifier::access_counts`].
-    fn reset_access_counts(&self) {}
 
     /// Whether [`PacketClassifier::insert`] / [`PacketClassifier::remove`]
     /// are live paths (the paper's §V.A fast incremental update) rather

@@ -46,7 +46,6 @@ use crate::{
     EngineKind, LookupStats, MatchHandle, PacketClassifier, UpdateError, UpdateReport, Verdict,
 };
 use spc_core::shard::{RouteTarget, ShardRouter, ShardSlice, ShardStrategy};
-use spc_hwsim::AccessCounts;
 use spc_types::{Header, Rule, RuleId};
 use std::fmt;
 
@@ -443,19 +442,6 @@ impl PacketClassifier for ShardedEngine {
 
     fn memory_bits(&self) -> u64 {
         self.shards.iter().map(|s| s.engine.memory_bits()).sum()
-    }
-
-    fn access_counts(&self) -> AccessCounts {
-        self.shards
-            .iter()
-            .map(|s| s.engine.access_counts())
-            .fold(AccessCounts::default(), |a, b| a + b)
-    }
-
-    fn reset_access_counts(&self) {
-        for s in &self.shards {
-            s.engine.reset_access_counts();
-        }
     }
 
     /// `true` when every inner engine supports updates — then the

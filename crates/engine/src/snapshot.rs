@@ -54,7 +54,6 @@ use crate::{
     ShardedEngine, UpdateError, UpdateReport, Verdict,
 };
 use spc_core::shard::{RouteTarget, ShardPlan, ShardRouter, ShardStrategy};
-use spc_hwsim::AccessCounts;
 use spc_types::{Header, Rule, RuleId, RuleSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -504,19 +503,6 @@ impl PacketClassifier for SnapshotEngine {
 
     fn memory_bits(&self) -> u64 {
         self.snaps.iter().map(|s| s.engine.memory_bits()).sum()
-    }
-
-    fn access_counts(&self) -> AccessCounts {
-        self.snaps
-            .iter()
-            .map(|s| s.engine.access_counts())
-            .fold(AccessCounts::default(), |a, b| a + b)
-    }
-
-    fn reset_access_counts(&self) {
-        for s in &self.snaps {
-            s.engine.reset_access_counts();
-        }
     }
 
     fn supports_updates(&self) -> bool {

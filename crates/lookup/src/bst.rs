@@ -20,7 +20,7 @@
 use crate::engine::{EngineError, EngineKind, FieldEngine, LookupCost};
 use crate::label::{Label, LabelEntry, LabelList};
 use crate::store::{LabelStore, ListPtr};
-use spc_hwsim::{AccessCounts, MemoryBlock};
+use spc_hwsim::MemoryBlock;
 use spc_types::{DimValue, SegPrefix};
 use std::collections::BTreeMap;
 
@@ -250,7 +250,7 @@ impl FieldEngine for RangeBst {
         }
         let w = hit.expect("interval 0 starts at 0");
         // One sorted run into an empty list: the invariant holds as-is.
-        let list_reads = store.read_all_into(w.list, out)?.max(1);
+        let list_reads = store.read_all_into(w.list, out)?;
         Ok(LookupCost {
             mem_reads: reads + list_reads,
             cycles: reads + 1, // search walk + head read
@@ -265,12 +265,8 @@ impl FieldEngine for RangeBst {
         self.intervals.used_bits()
     }
 
-    fn access_counts(&self) -> AccessCounts {
-        self.intervals.accesses()
-    }
-
-    fn reset_access_counts(&self) {
-        self.intervals.reset_accesses();
+    fn writes(&self) -> u64 {
+        self.intervals.writes()
     }
 
     fn is_pipelined(&self) -> bool {
@@ -293,6 +289,28 @@ mod tests {
 
     fn seg(v: u16, l: u8) -> DimValue {
         DimValue::Seg(SegPrefix::masked(v, l))
+    }
+
+    #[test]
+    fn mem_reads_before_and_after_emptying_a_list() {
+        let mut s = store();
+        let mut bst = RangeBst::new(16);
+        let half = |v| DimValue::Seg(SegPrefix::masked(v, 1));
+        bst.insert(&mut s, half(0x8000), entry(1, 1)).unwrap();
+        bst.insert(&mut s, half(0x0000), entry(2, 2)).unwrap();
+        bst.flush(&mut s).unwrap();
+        // Intervals start at 0 and 0x8000. 0x9999: one search read (mid =
+        // 1 hits) + 1 list; 0x1234: two search reads + 1 list.
+        assert_eq!(bst.lookup(&s, 0x9999).unwrap().mem_reads, 2);
+        assert_eq!(bst.lookup(&s, 0x1234).unwrap().mem_reads, 3);
+        // The rebuild keeps interval 0 with an empty list, which still
+        // costs one read (the head, to learn the list is empty).
+        bst.remove(&mut s, half(0x0000), Label(2)).unwrap();
+        bst.flush(&mut s).unwrap();
+        let r = bst.lookup(&s, 0x1234).unwrap();
+        assert!(r.labels.is_empty());
+        assert_eq!(r.mem_reads, 3);
+        assert_eq!(bst.lookup(&s, 0x9999).unwrap().mem_reads, 2);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use crate::engine::{EngineError, EngineKind, FieldEngine, LookupCost, LookupResult};
 use crate::label::{Label, LabelEntry, LabelList};
 use crate::store::{LabelStore, ListPtr};
-use spc_hwsim::{AccessCounts, MemoryBlock};
+use spc_hwsim::MemoryBlock;
 use spc_types::DimValue;
 
 /// Geometry of a [`MultiBitTrie`].
@@ -465,17 +465,8 @@ impl FieldEngine for MultiBitTrie {
             .sum()
     }
 
-    fn access_counts(&self) -> AccessCounts {
-        self.levels
-            .iter()
-            .map(spc_hwsim::MemoryBlock::accesses)
-            .sum()
-    }
-
-    fn reset_access_counts(&self) {
-        for b in &self.levels {
-            b.reset_accesses();
-        }
+    fn writes(&self) -> u64 {
+        self.levels.iter().map(MemoryBlock::writes).sum()
     }
 
     fn is_pipelined(&self) -> bool {
@@ -633,16 +624,27 @@ mod tests {
     }
 
     #[test]
-    fn access_counting_increases_on_lookup() {
+    fn mem_reads_before_and_after_emptying_a_list() {
         let mut s = store();
         let mut mbt = MultiBitTrie::new(MbtConfig::segment_paper(8));
+        // Strides 5/5/6: 0xa000/8 expands into level-1 slots 0..4 of the
+        // 0b10100 subtree; 0xa000/16 sits in level-2 slot 0 below slot 0.
         mbt.insert_prefix(&mut s, 0xa000, 8, entry(1, 1)).unwrap();
-        mbt.reset_access_counts();
-        s.reset_access_counts();
-        let r = mbt.lookup_key(&s, 0xa0ff).unwrap();
-        let struct_reads = mbt.access_counts().reads;
-        let list_reads = s.access_counts().reads;
-        assert_eq!(struct_reads + list_reads, u64::from(r.mem_reads));
+        mbt.insert_prefix(&mut s, 0xa000, 16, entry(2, 2)).unwrap();
+        let reads =
+            |mbt: &MultiBitTrie, s: &LabelStore, key| mbt.lookup_key(s, key).unwrap().mem_reads;
+        // 0xa000: 3 node reads + 2 one-label lists; 0xa0ff: 2 node reads
+        // (slot 3 has no child) + 1 list; 0x0000: the root slot only.
+        assert_eq!(reads(&mbt, &s, 0xa000), 5);
+        assert_eq!(reads(&mbt, &s, 0xa0ff), 3);
+        assert_eq!(reads(&mbt, &s, 0x0000), 1);
+        // An emptied list keeps its pointer; reading it still costs one
+        // read (the head, to learn the list is empty).
+        mbt.remove_prefix(&mut s, 0xa000, 16, Label(2)).unwrap();
+        assert_eq!(reads(&mbt, &s, 0xa000), 5);
+        mbt.remove_prefix(&mut s, 0xa000, 8, Label(1)).unwrap();
+        assert_eq!(reads(&mbt, &s, 0xa0ff), 3);
+        assert_eq!(reads(&mbt, &s, 0xa000), 5);
     }
 
     #[test]

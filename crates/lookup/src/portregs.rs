@@ -11,7 +11,6 @@
 use crate::engine::{EngineError, EngineKind, FieldEngine, LookupCost};
 use crate::label::{Label, LabelEntry, LabelList};
 use crate::store::LabelStore;
-use spc_hwsim::AccessCounts;
 use spc_types::{DimValue, PortRange};
 
 /// One port match register.
@@ -150,11 +149,9 @@ impl FieldEngine for PortRegisters {
         self.regs.len() as u64 * (16 + 16 + u64::from(self.label_bits))
     }
 
-    fn access_counts(&self) -> AccessCounts {
-        AccessCounts::default() // registers, not block memory
+    fn writes(&self) -> u64 {
+        0 // registers, not block memory
     }
-
-    fn reset_access_counts(&self) {}
 
     fn is_pipelined(&self) -> bool {
         true
@@ -241,6 +238,25 @@ mod tests {
             ),
             Err(EngineError::NotFound)
         ));
+    }
+
+    #[test]
+    fn mem_reads_before_and_after_emptying_a_list() {
+        let mut s = store();
+        let mut regs = PortRegisters::new(4);
+        ins(&mut regs, &mut s, 5, 10, 1, 0);
+        // Registers compare in parallel: no block-memory reads, hit or miss.
+        assert_eq!(regs.lookup(&s, 7).unwrap().mem_reads, 0);
+        assert_eq!(regs.lookup(&s, 11).unwrap().mem_reads, 0);
+        regs.remove(
+            &mut s,
+            DimValue::Port(PortRange::new(5, 10).unwrap()),
+            Label(1),
+        )
+        .unwrap();
+        let r = regs.lookup(&s, 7).unwrap();
+        assert!(r.labels.is_empty());
+        assert_eq!(r.mem_reads, 0);
     }
 
     #[test]

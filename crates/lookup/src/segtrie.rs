@@ -10,7 +10,7 @@
 use crate::engine::{EngineError, EngineKind, FieldEngine, LookupCost};
 use crate::label::{Label, LabelEntry, LabelList};
 use crate::store::{LabelStore, ListPtr};
-use spc_hwsim::{AccessCounts, MemoryBlock};
+use spc_hwsim::MemoryBlock;
 use spc_types::{DimValue, PortRange};
 
 /// Geometry of a [`SegmentTrie`].
@@ -385,17 +385,8 @@ impl FieldEngine for SegmentTrie {
             .sum()
     }
 
-    fn access_counts(&self) -> AccessCounts {
-        self.levels
-            .iter()
-            .map(spc_hwsim::MemoryBlock::accesses)
-            .sum()
-    }
-
-    fn reset_access_counts(&self) {
-        for b in &self.levels {
-            b.reset_accesses();
-        }
+    fn writes(&self) -> u64 {
+        self.levels.iter().map(MemoryBlock::writes).sum()
     }
 
     fn is_pipelined(&self) -> bool {
@@ -414,6 +405,32 @@ mod tests {
 
     fn entry(id: u16, p: u32) -> LabelEntry {
         LabelEntry::by_priority(Label(id), Priority(p))
+    }
+
+    #[test]
+    fn mem_reads_before_and_after_emptying_a_list() {
+        let mut s = store();
+        let mut t = SegmentTrie::new(SegTrieConfig::four_level(64));
+        // 4-bit strides: [0x1000, 0x1fff] is level-0 slot 1; port 0x1234
+        // is a level-3 cell three child nodes below it.
+        let block = PortRange::new(0x1000, 0x1fff).unwrap();
+        t.insert_range(&mut s, block, entry(1, 1)).unwrap();
+        t.insert_range(&mut s, PortRange::exact(0x1234), entry(2, 2))
+            .unwrap();
+        let reads = |t: &SegmentTrie, s: &LabelStore, q| t.lookup(s, q).unwrap().mem_reads;
+        // 0x1234: 4 node reads + 2 one-label lists; 0x1000: 2 node reads
+        // (level-1 slot 0 has no child) + 1 list; 0x5000: the root slot.
+        assert_eq!(reads(&t, &s, 0x1234), 6);
+        assert_eq!(reads(&t, &s, 0x1000), 3);
+        assert_eq!(reads(&t, &s, 0x5000), 1);
+        // An emptied list keeps its pointer; reading it still costs one
+        // read (the head, to learn the list is empty).
+        t.remove_range(&mut s, PortRange::exact(0x1234), Label(2))
+            .unwrap();
+        assert_eq!(reads(&t, &s, 0x1234), 6);
+        t.remove_range(&mut s, block, Label(1)).unwrap();
+        assert_eq!(reads(&t, &s, 0x1000), 3);
+        assert_eq!(reads(&t, &s, 0x1234), 6);
     }
 
     #[test]
